@@ -1,7 +1,7 @@
 type grant = { epoch : int; nonce : string; key : string; obtained_at : int64 }
 
-(* The table is sharded so that worker domains of a parallel batch can
-   memoize and look up grants concurrently: each shard carries its own
+(* The table is sharded so that several domains can memoize and look up
+   grants concurrently: each shard carries its own
    mutex and its own hashtables, and no operation ever holds two shard
    locks at once (eviction collects under the grant shard's lock, then
    removes sessions shard by shard after releasing it). With one domain

@@ -8,8 +8,8 @@
 
     The table is sharded internally (per-shard mutexes, no lock ever
     nested inside another), so every operation here is safe to call from
-    worker domains of a parallel batch; with a single domain the locks
-    are uncontended and behaviour matches the old single-table code. *)
+    several domains at once; with a single domain the locks are
+    uncontended and behaviour matches the old single-table code. *)
 
 type grant = {
   epoch : int;

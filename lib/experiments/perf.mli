@@ -1,4 +1,4 @@
-(** Perf regression harness for the hot-path optimisation pass.
+(** Micro-op perf harness for the hot-path optimisation pass.
 
     Measures before/after pairs in one process — cold RSA-512 keygen vs
     a pooled take, the binary Montgomery ladder vs the fixed-window

@@ -1,6 +1,6 @@
 (* An [Atomic.t] rather than a mutable int: pre-resolved hot-path
-   counters are bumped from worker domains during parallel batch service
-   (lib/par), and a plain-field increment would both race and lose
+   counters are bumped from the sharded engine's pool domains during a
+   [Par.round], and a plain-field increment would both race and lose
    counts. An uncontended [Atomic.incr] is a single lock-prefixed add —
    still nanosecond-scale, still branch-free — and the totals stay exact
    under any interleaving, which the parallel-equivalence tests rely

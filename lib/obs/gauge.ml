@@ -1,6 +1,6 @@
-(* Atomic for the same reason as [Counter]: the keypool's background
-   refill domain moves its depth gauge while the engine thread reads and
-   exports it. [set] is a plain atomic store; [add] is a CAS loop, which
+(* Atomic for the same reason as [Counter]: a handler running on one of
+   the sharded engine's pool domains may move a gauge while another
+   domain reads or exports it. [set] is a plain atomic store; [add] is a CAS loop, which
    never contends in practice (gauges have a single writer at a time). *)
 
 type t = float Atomic.t

@@ -1,14 +1,13 @@
 (* A hand-rolled fixed-size domain pool. One mutex guards the job queue
-   and the per-batch completion count; [work] wakes idle workers when
+   and the per-round completion count; [work] wakes idle workers when
    jobs arrive (or at shutdown), [finished] wakes the submitter when the
-   last straggler of its batch completes. Determinism comes from
-   indexing, not scheduling: each chunk writes into its own slot of a
-   results array, and the submitter reassembles the slots in submission
-   order once the batch-wide count reaches zero (the mutex hand-off is
-   also the happens-before edge publishing the workers' writes). *)
+   last straggler of its round completes. Determinism comes from
+   indexing, not scheduling: task i traps its own exception into slot i,
+   and the submitter re-raises the lowest-indexed one once the
+   round-wide count reaches zero (the mutex hand-off is also the
+   happens-before edge publishing the workers' writes). *)
 
 type pool = {
-  size : int;
   mutable workers : unit Domain.t array;
   m : Mutex.t;
   work : Condition.t;
@@ -16,8 +15,6 @@ type pool = {
   jobs : (unit -> unit) Queue.t;
   mutable stop : bool;
 }
-
-let size t = t.size
 
 let rec worker_loop t =
   Mutex.lock t.m;
@@ -35,8 +32,8 @@ let rec worker_loop t =
   Mutex.unlock t.m;
   match !job with
   | Some j ->
-    (* Jobs trap their own exceptions (see [map_chunks]); nothing
-       escapes into the worker loop. *)
+    (* Jobs trap their own exceptions (see [round]); nothing escapes
+       into the worker loop. *)
     j ();
     worker_loop t
   | None -> ()
@@ -44,8 +41,7 @@ let rec worker_loop t =
 let create ~size () =
   if size < 1 then invalid_arg "Par.create: size must be >= 1";
   let t =
-    { size;
-      workers = [||];
+    { workers = [||];
       m = Mutex.create ();
       work = Condition.create ();
       finished = Condition.create ();
@@ -68,41 +64,29 @@ let with_pool ~size f =
   let t = create ~size () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let map_chunks ?chunk t ~f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let chunk =
-      match chunk with
-      | Some c ->
-        if c < 1 then invalid_arg "Par.map_chunks: chunk must be >= 1";
-        c
-      | None ->
-        (* ~4 chunks per worker: enough slack to absorb uneven chunk
-           cost without drowning in queue traffic. *)
-        max 1 ((n + (4 * t.size) - 1) / (4 * t.size))
-    in
-    let nchunks = (n + chunk - 1) / chunk in
-    let out = Array.make nchunks [||] in
-    let exns = Array.make nchunks None in
-    let remaining = ref nchunks in
+(* One synchronization round: n indexed tasks, full barrier on return.
+   The PDES engine drives its conservative windows through this — each
+   shard is one task, and the barrier is the round boundary where
+   cross-shard outboxes become safe to merge. *)
+let round t ~n ~f =
+  if n < 0 then invalid_arg "Par.round: n must be >= 0";
+  if n > 0 then begin
+    let exns = Array.make n None in
+    let remaining = ref n in
     let job i () =
-      let lo = i * chunk in
-      let len = min chunk (n - lo) in
-      (try out.(i) <- Array.init len (fun j -> f xs.(lo + j))
-       with e -> exns.(i) <- Some e);
+      (try f i with e -> exns.(i) <- Some e);
       Mutex.lock t.m;
       decr remaining;
       if !remaining = 0 then Condition.broadcast t.finished;
       Mutex.unlock t.m
     in
     Mutex.lock t.m;
-    for i = 0 to nchunks - 1 do
+    for i = 0 to n - 1 do
       Queue.add (job i) t.jobs
     done;
     Condition.broadcast t.work;
     (* The submitter works the queue too — pool size 1 is exactly the
-       sequential path — then sleeps until the last worker's chunk is
+       sequential path — then sleeps until the last worker's task is
        in. *)
     let rec help () =
       match Queue.take_opt t.jobs with
@@ -118,30 +102,12 @@ let map_chunks ?chunk t ~f xs =
       Condition.wait t.finished t.m
     done;
     Mutex.unlock t.m;
-    Array.iter (function Some e -> raise e | None -> ()) exns;
-    Array.concat (Array.to_list out)
+    Array.iter (function Some e -> raise e | None -> ()) exns
   end
-
-(* One synchronization round: n indexed tasks, one task per chunk, full
-   barrier on return. The PDES engine drives its conservative windows
-   through this — each shard is one task, and the barrier is the
-   round boundary where cross-shard outboxes become safe to merge. *)
-let round t ~n ~f =
-  if n < 0 then invalid_arg "Par.round: n must be >= 0";
-  if n > 0 then
-    ignore (map_chunks ~chunk:1 t ~f (Array.init n (fun i -> i)) : unit array)
 
 let recommended () = Domain.recommended_domain_count ()
 
-let env_int name =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some s -> int_of_string_opt (String.trim s)
-
-let default_size () =
-  let r = recommended () in
-  match env_int "PAR_POOL" with
-  | Some n -> max 1 (min n r)
-  | None -> r
-
-let seed () = Option.value ~default:1 (env_int "PAR_SEED")
+let seed () =
+  match Sys.getenv_opt "PAR_SEED" with
+  | None -> 1
+  | Some s -> Option.value ~default:1 (int_of_string_opt (String.trim s))

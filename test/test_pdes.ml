@@ -328,7 +328,7 @@ let test_e12_domains_equivalence () =
      busy domain churning throughout. The fault timeline is a pure
      function of the seed, so the rendered table may not move by a
      byte. *)
-  ignore (Par.map_chunks pool2 ~f:(fun x -> mix x) (Array.init 64 Fun.id));
+  Par.round pool2 ~n:64 ~f:(fun i -> ignore (mix i : int));
   let stop = Atomic.make false in
   let churn =
     Domain.spawn (fun () ->
