@@ -3,9 +3,10 @@
     The paper uses e2e encryption as a black box (§3.1); this module is
     the box: a first packet sealed to the peer's long-term RSA-1024 key
     establishes a 32-byte session secret, subsequent packets ride on
-    symmetric crypto under that secret. Sessions are located by an opaque
-    8-byte session id derived from the secret — {e not} by addresses,
-    which are blurred in both directions.
+    symmetric crypto under that secret. The secret's AES and MAC keys are
+    derived once per session ({!Crypto.Seal.keys}), not once per packet.
+    Sessions are located by an opaque 8-byte session id derived from the
+    secret — {e not} by addresses, which are blurred in both directions.
 
     The encrypted inner message also carries the protocol's key material
     side-channels: the refresh grant echo (§3.2) and the reverse-direction
@@ -29,7 +30,11 @@ val encode_inner : inner -> string
 val decode_inner : string -> inner option
 
 type session = private {
-  secret : string;
+  keys : Crypto.Seal.keys;
+      (** the symmetric state of the session secret, derived once in
+          {!register} and used by every {!data_payload}/{!open_data} of
+          the session; immutable, so sessions stay shareable across
+          domains *)
   sid : string;  (** 8 bytes, [H(secret)] truncated *)
   peer : Net.Ipaddr.t;  (** real address of the other endpoint *)
   mutable last_used : int64;
@@ -46,6 +51,9 @@ val clear_table : table -> unit
 val sid_of_secret : string -> string
 
 val register : table -> secret:string -> peer:Net.Ipaddr.t -> now:int64 -> session
+(** Adds the session and derives its {!field-keys}: the one key
+    derivation of the session's lifetime. *)
+
 val find : table -> sid:string -> session option
 val find_by_peer : table -> peer:Net.Ipaddr.t -> session option
 val sessions : table -> session list
@@ -59,7 +67,8 @@ val initial_payload :
     long-term key, carrying [secret] and the inner message. *)
 
 val data_payload : rng:(int -> string) -> session -> inner -> string
-(** Steady-state packet: ['D'] + sid + symmetric envelope. *)
+(** Steady-state packet: ['D'] + sid + symmetric envelope, sealed under
+    the session's cached keys. *)
 
 val accept_initial :
   private_key:Crypto.Rsa.private_key -> string -> (string * inner) option

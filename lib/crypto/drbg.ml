@@ -1,47 +1,48 @@
-type t = { mutable key : Aes.key; mutable counter : string }
-
-let split32 s = (Bytes_util.take 16 s, String.sub s 16 16)
+(* [counter] is the 16-byte big-endian counter block, bumped in place. *)
+type t = { mutable key : Aes.key; counter : Bytes.t }
 
 let create ~seed =
   let material = Sha256.digest ("nn-drbg-init" ^ seed) in
-  let k, c = split32 material in
-  { key = Aes.expand_key k; counter = c }
+  { key = Aes.expand_key (Bytes_util.take 16 material);
+    counter = Bytes.of_string (String.sub material 16 16)
+  }
 
 let bump t =
-  let b = Bytes.of_string t.counter in
   let rec go i =
     if i >= 0 then begin
-      let v = (Char.code (Bytes.get b i) + 1) land 0xff in
-      Bytes.set b i (Char.chr v);
+      let v = (Char.code (Bytes.get t.counter i) + 1) land 0xff in
+      Bytes.set t.counter i (Char.chr v);
       if v = 0 then go (i - 1)
     end
   in
-  go 15;
-  t.counter <- Bytes.to_string b
+  go 15
 
-let block t =
+(* The next keystream block, into the 16-byte [dst]. *)
+let block_into t dst =
   bump t;
-  Aes.encrypt_block t.key t.counter
+  Aes.encrypt_bytes t.key ~src:t.counter ~dst
 
 let rekey t =
-  let k = block t in
-  let c = block t in
-  t.key <- Aes.expand_key k;
-  t.counter <- c
+  let k = Bytes.create 16 in
+  block_into t k;
+  block_into t t.counter;
+  t.key <- Aes.expand_key (Bytes.unsafe_to_string k)
 
 let generate t n =
-  let buf = Buffer.create n in
-  while Buffer.length buf < n do
-    Buffer.add_string buf (block t)
+  let out = Bytes.create n and ks = Bytes.create 16 in
+  let off = ref 0 in
+  while !off < n do
+    block_into t ks;
+    Bytes.blit ks 0 out !off (min 16 (n - !off));
+    off := !off + 16
   done;
   rekey t;
-  String.sub (Buffer.contents buf) 0 n
+  Bytes.unsafe_to_string out
 
 let reseed t entropy =
   let material = Sha256.digest (generate t 16 ^ entropy) in
-  let k, c = split32 material in
-  t.key <- Aes.expand_key k;
-  t.counter <- c
+  t.key <- Aes.expand_key (Bytes_util.take 16 material);
+  Bytes.blit_string material 16 t.counter 0 16
 
 let random_state t =
   let ints = Array.init 8 (fun _ -> Bytes_util.get_u32 (generate t 4) 0) in

@@ -1,38 +1,45 @@
-let derive_keys secret =
-  ( Aes.expand_key (Hmac.derive ~secret ~label:"seal-enc" ~length:16),
-    Hmac.derive ~secret ~label:"seal-mac" ~length:16 )
-
+let nonce_len = 16
 let tag_len = 16
 
-let body_sym ~rng ~secret plaintext =
-  let enc_key, mac_key = derive_keys secret in
-  let nonce = rng 16 in
-  let ct = Mode.ctr ~key:enc_key ~nonce plaintext in
-  let tag = Bytes_util.take tag_len (Hmac.mac ~key:mac_key (nonce ^ ct)) in
-  nonce ^ ct ^ tag
+type keys = { enc : Aes.key; mac : Hmac.key }
 
-let open_sym ~secret blob =
-  if String.length blob < 16 + tag_len then None
+let keys secret =
+  { enc = Aes.expand_key (Hmac.derive ~secret ~label:"seal-enc" ~length:16);
+    mac = Hmac.prepare (Hmac.derive ~secret ~label:"seal-mac" ~length:16)
+  }
+
+let seal_keys ~rng k plaintext =
+  let nonce = rng nonce_len in
+  let body = nonce ^ Mode.ctr ~key:k.enc ~nonce plaintext in
+  body ^ String.sub (Hmac.mac_with k.mac body) 0 tag_len
+
+let open_keys k blob =
+  let n = String.length blob in
+  if n < nonce_len + tag_len then None
   else begin
-    let enc_key, mac_key = derive_keys secret in
-    let nonce = Bytes_util.take 16 blob in
-    let rest = Bytes_util.drop 16 blob in
-    let ct = String.sub rest 0 (String.length rest - tag_len) in
-    let tag = Bytes_util.drop (String.length rest - tag_len) rest in
-    let expect = Bytes_util.take tag_len (Hmac.mac ~key:mac_key (nonce ^ ct)) in
-    if Bytes_util.equal_ct tag expect then Some (Mode.ctr ~key:enc_key ~nonce ct)
+    let body = String.sub blob 0 (n - tag_len) in
+    let expect = String.sub (Hmac.mac_with k.mac body) 0 tag_len in
+    if Bytes_util.equal_ct (String.sub blob (n - tag_len) tag_len) expect then
+      Some
+        (Mode.ctr ~key:k.enc
+           ~nonce:(String.sub body 0 nonce_len)
+           (String.sub body nonce_len (n - nonce_len - tag_len)))
     else None
   end
 
-let seal ~rng ~pub plaintext =
-  let secret = rng 32 in
+let seal_sym ~rng ~secret plaintext = seal_keys ~rng (keys secret) plaintext
+let unseal_sym ~secret blob = open_keys (keys secret) blob
+
+let seal_with_secret ~rng ~pub ~secret plaintext =
   let rsa_ct = Rsa.encrypt pub ~rng secret in
   let buf = Buffer.create (String.length plaintext + 96) in
   Buffer.add_char buf 'S';
   Bytes_util.put_u32 buf (String.length rsa_ct);
   Buffer.add_string buf rsa_ct;
-  Buffer.add_string buf (body_sym ~rng ~secret plaintext);
+  Buffer.add_string buf (seal_sym ~rng ~secret plaintext);
   Buffer.contents buf
+
+let seal ~rng ~pub plaintext = seal_with_secret ~rng ~pub ~secret:(rng 32) plaintext
 
 let recover_secret ~priv blob =
   if String.length blob < 5 || blob.[0] <> 'S' then None
@@ -42,15 +49,13 @@ let recover_secret ~priv blob =
     else Rsa.decrypt priv (String.sub blob 5 ctlen)
   end
 
-let unseal ~priv blob =
+let open_envelope ~priv blob =
   match recover_secret ~priv blob with
-  | None -> None
-  | Some secret ->
-    if String.length secret <> 32 then None
-    else begin
-      let ctlen = Bytes_util.get_u32 blob 1 in
-      open_sym ~secret (Bytes_util.drop (5 + ctlen) blob)
-    end
+  | Some secret when String.length secret = 32 ->
+    let ctlen = Bytes_util.get_u32 blob 1 in
+    Option.map
+      (fun body -> (secret, body))
+      (unseal_sym ~secret (Bytes_util.drop (5 + ctlen) blob))
+  | Some _ | None -> None
 
-let seal_sym ~rng ~secret plaintext = body_sym ~rng ~secret plaintext
-let unseal_sym ~secret blob = open_sym ~secret blob
+let unseal ~priv blob = Option.map snd (open_envelope ~priv blob)

@@ -5,19 +5,53 @@
 
     [seal]/[unseal] open a fresh secret per message; the symmetric
     variants reuse an established secret (e.g. for a response on the same
-    exchange, or an ongoing session). *)
+    exchange, or an ongoing session).
+
+    A symmetric envelope is [nonce (16) ^ AES-CTR body ^ tag (16)], the
+    tag being the truncated HMAC of [nonce ^ body]. Its AES and MAC keys
+    are derived from the secret by {!Hmac.derive}; {!keys} does that once,
+    so a long-lived session seals and opens each packet with
+    {!seal_keys}/{!open_keys} and pays only for the packet. *)
+
+type keys
+(** The symmetric state of one secret: the expanded AES key and the
+    prepared MAC key. Immutable, so one [keys] may be shared freely
+    across domains. *)
+
+val keys : string -> keys
+(** [keys secret] derives the AES and MAC keys of [secret]. *)
+
+val seal_keys : rng:(int -> string) -> keys -> string -> string
+(** [seal_keys ~rng (keys secret) m] is byte for byte
+    [seal_sym ~rng ~secret m] for the same [rng] draws. *)
+
+val open_keys : keys -> string -> string option
+(** [None] on a short blob or a bad tag. *)
 
 val seal : rng:(int -> string) -> pub:Rsa.public -> string -> string
 (** Raises [Invalid_argument] if the RSA modulus is too small for the
     32-byte secret (needs >= 43 bytes, i.e. >= 344-bit keys). *)
 
+val seal_with_secret :
+  rng:(int -> string) -> pub:Rsa.public -> secret:string -> string -> string
+(** [seal] under a caller-chosen [secret] ([seal] draws it from [rng]),
+    so the sender can keep it: to open the answer with {!unseal_sym}, or
+    to name a session before the first reply. *)
+
 val unseal : priv:Rsa.private_key -> string -> string option
 
+val open_envelope : priv:Rsa.private_key -> string -> (string * string) option
+(** [open_envelope ~priv blob] is [Some (secret, plaintext)] for a [seal]
+    envelope, decrypting the RSA part once, so the receiver can answer
+    with {!seal_sym} under the same secret. [None] if the secret is not
+    32 bytes or the envelope does not open. *)
+
 val seal_sym : rng:(int -> string) -> secret:string -> string -> string
-(** [secret] is the 32-byte value recovered by the receiving side. *)
+(** [secret] is the 32-byte value recovered by the receiving side.
+    [seal_keys ~rng (keys secret)]: derives the keys on every call. *)
 
 val unseal_sym : secret:string -> string -> string option
+(** [open_keys (keys secret)]. *)
 
 val recover_secret : priv:Rsa.private_key -> string -> string option
-(** The secret inside a [seal] envelope, so the receiver can answer with
-    {!seal_sym}. *)
+(** The secret inside a [seal] envelope, without opening the body. *)

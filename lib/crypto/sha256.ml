@@ -1,11 +1,10 @@
-(* All word arithmetic is on native ints masked to 32 bits. *)
+(* All word arithmetic is on native ints masked to 32 bits. Sums of a
+   few 32-bit words stay far below 2^62, so they are masked once. *)
 
 let m32 = 0xffffffff
-let ( &: ) a b = a land b
-let ( ^: ) a b = a lxor b
-let add32 a b = (a + b) land m32
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
-let shr x n = x lsr n
+
+(* Unmasked rotate: the caller masks the xor of several rotations once. *)
+let rotr x n = (x lsr n) lor (x lsl (32 - n))
 
 let first_primes n =
   let rec go c acc k =
@@ -30,75 +29,123 @@ let frac_bits root p =
 let k = Array.of_list (List.map (frac_bits Float.cbrt) (first_primes 64))
 let h0 = Array.of_list (List.map (frac_bits Float.sqrt) (first_primes 8))
 
-type ctx = { h : int array; pending : string; total : int }
+let get_u32 s off =
+  (Char.code (String.unsafe_get s off) lsl 24)
+  lor (Char.code (String.unsafe_get s (off + 1)) lsl 16)
+  lor (Char.code (String.unsafe_get s (off + 2)) lsl 8)
+  lor Char.code (String.unsafe_get s (off + 3))
 
-let init () = { h = Array.copy h0; pending = ""; total = 0 }
+let set_u32 b off v =
+  Bytes.unsafe_set b off (Char.unsafe_chr ((v lsr 24) land 0xff));
+  Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+  Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+  Bytes.unsafe_set b (off + 3) (Char.unsafe_chr (v land 0xff))
 
-let compress h block off =
-  let w = Array.make 64 0 in
+(* The compression function: fold the 64-byte block of [s] at [off] into
+   the chaining state [h], using [w] (64 words) as the message schedule.
+   The caller bounds-checks [off]. *)
+let compress h w s off =
   for t = 0 to 15 do
-    w.(t) <- Bytes_util.get_u32 block (off + (4 * t))
+    Array.unsafe_set w t (get_u32 s (off + (4 * t)))
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 ^: rotr w.(t - 15) 18 ^: shr w.(t - 15) 3 in
-    let s1 = rotr w.(t - 2) 17 ^: rotr w.(t - 2) 19 ^: shr w.(t - 2) 10 in
-    w.(t) <- add32 (add32 w.(t - 16) s0) (add32 w.(t - 7) s1)
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let s0 = (rotr x 7 lxor rotr x 18) land m32 lxor (x lsr 3) in
+    let s1 = (rotr y 17 lxor rotr y 19) land m32 lxor (y lsr 10) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
+      land m32)
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 ^: rotr !e 11 ^: rotr !e 25 in
-    let ch = (!e &: !f) ^: (lnot !e &: !g) in
-    let t1 = add32 (add32 !hh s1) (add32 (add32 ch k.(t)) w.(t)) in
-    let s0 = rotr !a 2 ^: rotr !a 13 ^: rotr !a 22 in
-    let maj = (!a &: !b) ^: (!a &: !c) ^: (!b &: !c) in
-    let t2 = add32 s0 maj in
+    let e' = !e and a' = !a in
+    let s1 = (rotr e' 6 lxor rotr e' 11 lxor rotr e' 25) land m32 in
+    let ch = !g lxor (e' land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 = (rotr a' 2 lxor rotr a' 13 lxor rotr a' 22) land m32 in
+    let maj = (a' land !b) lor (!c land (a' lor !b)) in
     hh := !g;
     g := !f;
-    f := !e;
-    e := add32 !d t1;
+    f := e';
+    e := (!d + t1) land m32;
     d := !c;
     c := !b;
-    b := !a;
-    a := add32 t1 t2
+    b := a';
+    a := (t1 + s0 + maj) land m32
   done;
-  h.(0) <- add32 h.(0) !a;
-  h.(1) <- add32 h.(1) !b;
-  h.(2) <- add32 h.(2) !c;
-  h.(3) <- add32 h.(3) !d;
-  h.(4) <- add32 h.(4) !e;
-  h.(5) <- add32 h.(5) !f;
-  h.(6) <- add32 h.(6) !g;
-  h.(7) <- add32 h.(7) !hh
+  h.(0) <- (h.(0) + !a) land m32;
+  h.(1) <- (h.(1) + !b) land m32;
+  h.(2) <- (h.(2) + !c) land m32;
+  h.(3) <- (h.(3) + !d) land m32;
+  h.(4) <- (h.(4) + !e) land m32;
+  h.(5) <- (h.(5) + !f) land m32;
+  h.(6) <- (h.(6) + !g) land m32;
+  h.(7) <- (h.(7) + !hh) land m32
+
+(* Finish a hash whose first [prefix] bytes (a multiple of 64) are already
+   folded into [state]: compress [msg]'s whole blocks in place, then pad
+   its tail into one 64- or 128-byte buffer. [state] is not mutated. *)
+let finish state ~prefix msg =
+  let h = Array.copy state and w = Array.make 64 0 in
+  let len = String.length msg in
+  let whole = len / 64 in
+  for i = 0 to whole - 1 do
+    compress h w msg (64 * i)
+  done;
+  let rem = len - (64 * whole) in
+  let tail_len = if rem + 9 <= 64 then 64 else 128 in
+  let tail = Bytes.make tail_len '\x00' in
+  Bytes.blit_string msg (64 * whole) tail 0 rem;
+  Bytes.set tail rem '\x80';
+  let bitlen = (prefix + len) * 8 in
+  set_u32 tail (tail_len - 8) (bitlen lsr 32);
+  set_u32 tail (tail_len - 4) (bitlen land m32);
+  let tail = Bytes.unsafe_to_string tail in
+  compress h w tail 0;
+  if tail_len = 128 then compress h w tail 64;
+  let out = Bytes.create 32 in
+  Array.iteri (fun i v -> set_u32 out (4 * i) v) h;
+  Bytes.unsafe_to_string out
+
+let digest msg = finish h0 ~prefix:0 msg
+let digest_hex msg = Bytes_util.to_hex (digest msg)
+
+type midstate = int array
+
+let midstate block =
+  if String.length block <> 64 then
+    invalid_arg "Sha256.midstate: block must be 64 bytes";
+  let h = Array.copy h0 in
+  compress h (Array.make 64 0) block 0;
+  h
+
+let digest_from m msg = finish m ~prefix:64 msg
+
+type ctx = { h : int array; pending : string; total : int }
+
+let init () = { h = h0; pending = ""; total = 0 }
 
 let feed ctx s =
-  let data = ctx.pending ^ s in
-  let nblocks = String.length data / 64 in
-  let h = Array.copy ctx.h in
-  for i = 0 to nblocks - 1 do
-    compress h data (64 * i)
-  done;
-  { h;
-    pending = String.sub data (64 * nblocks) (String.length data - (64 * nblocks));
-    total = ctx.total + String.length s
-  }
+  let plen = String.length ctx.pending and len = String.length s in
+  let total = ctx.total + len in
+  if plen + len < 64 then { ctx with pending = ctx.pending ^ s; total }
+  else begin
+    let h = Array.copy ctx.h and w = Array.make 64 0 in
+    let off =
+      if plen = 0 then 0
+      else begin
+        compress h w (ctx.pending ^ String.sub s 0 (64 - plen)) 0;
+        64 - plen
+      end
+    in
+    let whole = (len - off) / 64 in
+    for i = 0 to whole - 1 do
+      compress h w s (off + (64 * i))
+    done;
+    let off = off + (64 * whole) in
+    { h; pending = String.sub s off (len - off); total }
+  end
 
 let finalize ctx =
-  let bitlen = ctx.total * 8 in
-  let padlen =
-    let r = (String.length ctx.pending + 1 + 8) mod 64 in
-    if r = 0 then 0 else 64 - r
-  in
-  let tail = Buffer.create 72 in
-  Buffer.add_char tail '\x80';
-  Buffer.add_string tail (String.make padlen '\x00');
-  Bytes_util.put_u32 tail (bitlen lsr 32);
-  Bytes_util.put_u32 tail (bitlen land m32);
-  let ctx = feed { ctx with total = 0 } (Buffer.contents tail) in
-  assert (ctx.pending = "");
-  let out = Buffer.create 32 in
-  Array.iter (Bytes_util.put_u32 out) ctx.h;
-  Buffer.contents out
-
-let digest msg = finalize (feed (init ()) msg)
-let digest_hex msg = Bytes_util.to_hex (digest msg)
+  finish ctx.h ~prefix:(ctx.total - String.length ctx.pending) ctx.pending

@@ -40,18 +40,15 @@ let handle server host (p : Net.Packet.t) =
     match (server.decryption_key, server.rng) with
     | Some priv, Some rng ->
       let blob = String.sub p.payload 1 (len - 1) in
-      (match
-         ( Crypto.Seal.recover_secret ~priv blob,
-           Crypto.Seal.unseal ~priv blob )
-       with
-       | Some secret, Some body ->
+      (match Crypto.Seal.open_envelope ~priv blob with
+       | Some (secret, body) ->
          (match Message.decode_query body with
           | None -> ()
           | Some q ->
             server.served <- server.served + 1;
             let resp = Message.encode_response (answer server q) in
             reply ("E" ^ Crypto.Seal.seal_sym ~rng ~secret resp))
-       | _ -> ())
+       | None -> ())
     | _ -> ()
   end
   else serve_plain p.payload
@@ -89,13 +86,7 @@ let resolve host ~server ?(port = default_port) ?encrypt_to ?rng ?verify
       (* Remember the exchange secret to open the sealed response. *)
       let s = rng 32 in
       secret := Some s;
-      let rsa_ct = Crypto.Rsa.encrypt pub ~rng s in
-      let buf = Buffer.create 128 in
-      Buffer.add_char buf 'S';
-      Crypto.Bytes_util.put_u32 buf (String.length rsa_ct);
-      Buffer.add_string buf rsa_ct;
-      Buffer.add_string buf (Crypto.Seal.seal_sym ~rng ~secret:s body);
-      "E" ^ Buffer.contents buf
+      "E" ^ Crypto.Seal.seal_with_secret ~rng ~pub ~secret:s body
   in
   let decode_reply (p : Net.Packet.t) =
     let raw = p.payload in

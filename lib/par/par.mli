@@ -47,4 +47,5 @@ val recommended : unit -> int
 
 val seed : unit -> int
 (** Workload seed for tools and tests: [PAR_SEED] when set, else 1.
-    Logged by the [@par] test runner so failures reproduce. *)
+    test_par and test_pdes seed their qcheck properties from it and log
+    it, so a run replays. *)

@@ -188,6 +188,48 @@ let test_sha256_streaming () =
   Alcotest.(check string) "chunked = whole" (B.to_hex whole)
     (B.to_hex (Crypto.Sha256.finalize ctx))
 
+(* Lengths around the padding boundaries: 55 is the longest message whose
+   padding fits its last block, 119 the longest two-block one. The
+   expected digests are independent (Python hashlib). *)
+let test_sha256_boundaries () =
+  let msg n = String.init n (fun i -> Char.chr (i land 0xff)) in
+  List.iter
+    (fun (n, expect) ->
+      let m = msg n in
+      let name what = Printf.sprintf "%s, %d bytes" what n in
+      Alcotest.(check string) (name "one-shot") expect (Crypto.Sha256.digest_hex m);
+      for cut = 0 to n do
+        let ctx = Crypto.Sha256.feed (Crypto.Sha256.init ()) (String.sub m 0 cut) in
+        let ctx = Crypto.Sha256.feed ctx (String.sub m cut (n - cut)) in
+        Alcotest.(check string) (name (Printf.sprintf "streaming cut at %d" cut))
+          expect (B.to_hex (Crypto.Sha256.finalize ctx))
+      done;
+      if n >= 64 then
+        Alcotest.(check string) (name "from midstate") expect
+          (B.to_hex
+             (Crypto.Sha256.digest_from
+                (Crypto.Sha256.midstate (String.sub m 0 64))
+                (String.sub m 64 (n - 64)))))
+    [ (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (57, "2fe741af801cc238602ac0ec6a7b0c3a8a87c7fc7d7f02a3fe03d1c12eac4d8f");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c")
+    ]
+
+let test_sha256_midstate_reuse () =
+  let m = Crypto.Sha256.midstate (String.make 64 'k') in
+  let a = Crypto.Sha256.digest_from m "first" in
+  ignore (Crypto.Sha256.digest_from m (String.make 200 'x'));
+  Alcotest.(check string) "midstate not mutated" (B.to_hex a)
+    (B.to_hex (Crypto.Sha256.digest_from m "first"));
+  Alcotest.check_raises "short block"
+    (Invalid_argument "Sha256.midstate: block must be 64 bytes") (fun () ->
+      ignore (Crypto.Sha256.midstate "short"))
+
 let sha_props =
   [ prop "chunking irrelevant"
       QCheck2.Gen.(tup2 gen_short (int_bound 50))
@@ -210,6 +252,40 @@ let test_hmac_vectors () =
   Alcotest.(check string) "rfc4231 case 3"
     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
     (Crypto.Hmac.mac_hex ~key:(String.make 20 '\xaa') (String.make 50 '\xdd'))
+
+let test_hmac_large_key () =
+  (* RFC 4231 cases 6 and 7: a 131-byte key is hashed before use. *)
+  let key = String.make 131 '\xaa' in
+  Alcotest.(check string) "rfc4231 case 6"
+    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    (Crypto.Hmac.mac_hex ~key
+       "Test Using Larger Than Block-Size Key - Hash Key First");
+  Alcotest.(check string) "rfc4231 case 7"
+    "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+    (Crypto.Hmac.mac_hex ~key
+       "This is a test using a larger than block-size key and a larger than \
+        block-size data. The key needs to be hashed before being used by the \
+        HMAC algorithm.")
+
+(* The RFC 2104 definition over plain one-shot digests. *)
+let hmac_reference ~key msg =
+  let key = if String.length key > 64 then Crypto.Sha256.digest key else key in
+  let key = key ^ String.make (64 - String.length key) '\x00' in
+  let pad c = B.xor key (String.make 64 c) in
+  Crypto.Sha256.digest (pad '\x5c' ^ Crypto.Sha256.digest (pad '\x36' ^ msg))
+
+let hmac_props =
+  [ prop "mac_with (prepare k) = mac ~key:k = RFC 2104, keys of 0-200 bytes"
+      QCheck2.Gen.(tup2 gen_short gen_short)
+      (fun (k, m) -> pr k ^ "/" ^ pr m)
+      (fun (key, msg) ->
+        let prepared = Crypto.Hmac.prepare key in
+        let a = Crypto.Hmac.mac_with prepared msg in
+        a = Crypto.Hmac.mac ~key msg
+        && a = hmac_reference ~key msg
+        (* a prepared key is reusable *)
+        && Crypto.Hmac.mac_with prepared msg = a)
+  ]
 
 let test_hmac_derive () =
   let a = Crypto.Hmac.derive ~secret:"s" ~label:"x" ~length:40 in
@@ -234,6 +310,20 @@ let test_drbg () =
   Crypto.Drbg.reseed d2 "different";
   Alcotest.(check bool) "reseed separates" true
     (Crypto.Drbg.generate d1 16 <> Crypto.Drbg.generate d2 16)
+
+let test_drbg_golden () =
+  (* Pins the output stream byte for byte: three successive generate
+     calls of 16, 32 and 5 bytes from a fixed seed. *)
+  let d = Crypto.Drbg.create ~seed:"drbg-golden" in
+  let a = Crypto.Drbg.generate d 16 in
+  let b = Crypto.Drbg.generate d 32 in
+  let c = Crypto.Drbg.generate d 5 in
+  Alcotest.(check string) "generate 16"
+    "5520aadaf09b23ac8e2be6e23447c596" (B.to_hex a);
+  Alcotest.(check string) "generate 32"
+    "44d88a283ea560df257916a7dd1ac2ca7bd6aa9a220f7059fff19d882411cad5"
+    (B.to_hex b);
+  Alcotest.(check string) "generate 5" "6a2f15216a" (B.to_hex c)
 
 (* ---- RSA ---- *)
 
@@ -346,6 +436,50 @@ let test_seal_sym () =
   Alcotest.(check (option string)) "wrong secret" None
     (Crypto.Seal.unseal_sym ~secret:(rng 32) blob)
 
+let seal_keys_props =
+  let gen = QCheck2.Gen.(tup3 (gen_bytes 32) gen_short (int_bound 1_000_000)) in
+  let print (secret, m, i) =
+    String.concat "/" [ pr secret; pr m; string_of_int i ]
+  in
+  [ prop "seal_keys = seal_sym byte for byte; open_keys round-trips and rejects"
+      gen print (fun (secret, msg, i) ->
+        let seed = "seal-keys-" ^ string_of_int i in
+        let keys = Crypto.Seal.keys secret in
+        let blob = Crypto.Seal.seal_keys ~rng:(drbg_rng seed) keys msg in
+        let flipped j =
+          let b = Bytes.of_string blob in
+          Bytes.set b j (Char.chr (Char.code (Bytes.get b j) lxor 0x01));
+          Crypto.Seal.open_keys keys (Bytes.to_string b)
+        in
+        let other = Crypto.Seal.keys (Crypto.Sha256.digest secret) in
+        blob = Crypto.Seal.seal_sym ~rng:(drbg_rng seed) ~secret msg
+        && Crypto.Seal.open_keys keys blob = Some msg
+        && Crypto.Seal.unseal_sym ~secret blob = Some msg
+        && List.for_all
+             (fun j -> flipped j = None)
+             (List.init (String.length blob) Fun.id)
+        && Crypto.Seal.open_keys other blob = None
+        && Crypto.Seal.open_keys keys (String.sub blob 0 31) = None)
+  ]
+
+let test_seal_open_envelope () =
+  let key = Lazy.force fixed_key_1024 in
+  let rng = drbg_rng "seal5" in
+  let blob = Crypto.Seal.seal ~rng ~pub:key.Crypto.Rsa.public "query" in
+  (match Crypto.Seal.open_envelope ~priv:key blob with
+   | Some (secret, body) ->
+     Alcotest.(check (option string)) "same secret"
+       (Crypto.Seal.recover_secret ~priv:key blob) (Some secret);
+     Alcotest.(check string) "body" "query" body
+   | None -> Alcotest.fail "envelope did not open");
+  let b = Bytes.of_string blob in
+  let last = Bytes.length b - 1 in
+  Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 1));
+  Alcotest.(check bool) "tampered tag" true
+    (Crypto.Seal.open_envelope ~priv:key (Bytes.to_string b) = None);
+  Alcotest.(check bool) "not an envelope" true
+    (Crypto.Seal.open_envelope ~priv:key "Xjunk" = None)
+
 let test_seal_recover_secret () =
   let key = Lazy.force fixed_key_1024 in
   let rng = drbg_rng "seal4" in
@@ -383,11 +517,19 @@ let () =
       ( "sha256-hmac",
         [ Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "sha256 streaming" `Quick test_sha256_streaming;
+          Alcotest.test_case "sha256 padding boundaries" `Quick
+            test_sha256_boundaries;
+          Alcotest.test_case "sha256 midstate reuse" `Quick
+            test_sha256_midstate_reuse;
           Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors;
+          Alcotest.test_case "hmac 131-byte key" `Quick test_hmac_large_key;
           Alcotest.test_case "hmac derive" `Quick test_hmac_derive
         ]
-        @ sha_props );
-      ("drbg", [ Alcotest.test_case "determinism" `Quick test_drbg ]);
+        @ sha_props @ hmac_props );
+      ( "drbg",
+        [ Alcotest.test_case "determinism" `Quick test_drbg;
+          Alcotest.test_case "golden stream" `Quick test_drbg_golden
+        ] );
       ( "rsa",
         [ Alcotest.test_case "roundtrip" `Quick test_rsa_roundtrip;
           Alcotest.test_case "randomized padding" `Quick
@@ -403,6 +545,8 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_seal_roundtrip;
           Alcotest.test_case "tamper" `Quick test_seal_tamper;
           Alcotest.test_case "symmetric" `Quick test_seal_sym;
-          Alcotest.test_case "recover secret" `Quick test_seal_recover_secret
-        ] )
+          Alcotest.test_case "recover secret" `Quick test_seal_recover_secret;
+          Alcotest.test_case "open envelope" `Quick test_seal_open_envelope
+        ]
+        @ seal_keys_props )
     ]

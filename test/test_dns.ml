@@ -197,6 +197,8 @@ let test_resolve_encrypted_hides_qname () =
   let rig = make_rig () in
   Net.Trace.clear rig.isp_trace;
   let result = ref (Error Dns.Resolver.Timeout) in
+  let decrypts = Obs.Registry.counter Obs.Registry.default "crypto.rsa.decrypts" in
+  let decrypts_before = Obs.Counter.value decrypts in
   Dns.Resolver.resolve rig.client_host ~server:rig.server_addr
     ~encrypt_to:rig.key.Crypto.Rsa.public ~rng:(client_rng "enc-dns")
     ~name:"site.example" ~qtype:Dns.Record.Q_A (fun r -> result := r);
@@ -204,6 +206,8 @@ let test_resolve_encrypted_hides_qname () =
   (match !result with
    | Ok [ Dns.Record.A _ ] -> ()
    | Ok _ | Error _ -> Alcotest.fail "encrypted resolve failed");
+  Alcotest.(check int) "server decrypts the query's RSA part once" 1
+    (Obs.Counter.value decrypts - decrypts_before);
   let has_sub hay needle =
     let nl = String.length needle and hl = String.length hay in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in

@@ -5,13 +5,17 @@
    changes wall-clock time and nothing else. Keytab contents and obs
    counter totals must be identical at pool sizes 1, 2 and 4 — pool
    size 1 *is* the sequential implementation. Alongside the equivalence
-   properties live crypto reentrancy KATs (the shared fixtures really
-   are safe to share) and regression tests for the sharing hazards the
-   reentrancy pass fixed: the Lazy decrypt round keys in Aes and the
-   per-session scratch buffers in Datapath. *)
+   properties live crypto reentrancy KATs (the shared fixtures, session
+   Seal keys and prepared HMAC keys among them, really are safe to
+   share) and regression tests for the sharing hazards the reentrancy
+   pass fixed: the Lazy decrypt round keys in Aes and the per-session
+   scratch buffers in Datapath. *)
 
+(* Every property draws from PAR_SEED (default 1), so a run replays. *)
 let prop ?(count = 50) ~name ~print gen f =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ~print gen f)
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| Par.seed () |])
+    (QCheck2.Test.make ~count ~name ~print gen f)
 
 (* Pools are reused across test cases to amortize domain spawn; tests in
    a binary run sequentially, so the single-submitter contract holds. *)
@@ -23,7 +27,7 @@ let pools () = [ (1, None); (2, Some pool2); (4, Some pool4) ]
 
 let () =
   Printf.printf
-    "test_par: PAR_SEED=%d recommended domains=%d\n%!" (Par.seed ())
+    "test_par: qcheck seed PAR_SEED=%d recommended domains=%d\n%!" (Par.seed ())
     (Par.recommended ())
 
 let hex = Crypto.Bytes_util.of_hex
@@ -208,7 +212,29 @@ let run_from_domains ~domains ~iters f =
   in
   List.for_all Domain.join spawned
 
+(* One Seal.keys and one prepared Hmac.key shared by every domain: each
+   result must be the bytes the sequential run produced. *)
+let shared_seal_keys = Crypto.Seal.keys (String.make 32 's')
+let shared_hmac_key = Crypto.Hmac.prepare "par-shared-hmac-key"
+let shared_msgs = Array.init 16 (fun i -> String.make (i * 13) (Char.chr (65 + i)))
+
+let shared_results () =
+  Array.mapi
+    (fun i m ->
+      let rng n = String.make n (Char.chr i) in
+      let blob = Crypto.Seal.seal_keys ~rng shared_seal_keys m in
+      (blob, Crypto.Seal.open_keys shared_seal_keys blob,
+       Crypto.Hmac.mac_with shared_hmac_key m))
+    shared_msgs
+
 let test_crypto_reentrant_kats () =
+  let expected = shared_results () in
+  Alcotest.(check bool)
+    "Seal.keys + Hmac.key shared by 4 domains" true
+    (run_from_domains ~domains:4 ~iters:50 (fun () -> shared_results () = expected));
+  Alcotest.(check bool)
+    "sequential bytes open" true
+    (Array.for_all2 (fun m (_, opened, _) -> opened = Some m) shared_msgs expected);
   Alcotest.(check bool)
     "AES FIPS-197 from 4 domains" true
     (run_from_domains ~domains:4 ~iters:50 aes_kat);
