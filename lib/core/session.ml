@@ -147,7 +147,7 @@ let accept_initial ~private_key payload =
   if String.length payload < 2 || payload.[0] <> 'N' then None
   else
     match
-      Crypto.Seal.open_envelope ~priv:private_key (Crypto.Bytes_util.drop 1 payload)
+      Crypto.Seal.unseal ~priv:private_key (Crypto.Bytes_util.drop 1 payload)
     with
     | None -> None
     | Some (secret, body) -> Option.map (fun i -> (secret, i)) (decode_inner body)

@@ -4,7 +4,9 @@
     the box: a first packet sealed to the peer's long-term RSA-1024 key
     establishes a 32-byte session secret, subsequent packets ride on
     symmetric crypto under that secret. The secret's AES and MAC keys are
-    derived once per session ({!Crypto.Seal.keys}), not once per packet.
+    derived per session, not per packet: once for the session's entry
+    ({!Crypto.Seal.keys}, in {!register}) and once more on each side for
+    the set-up packet, which is sealed and opened under the bare secret.
     Sessions are located by an opaque 8-byte session id derived from the
     secret — {e not} by addresses, which are blurred in both directions.
 
@@ -31,7 +33,7 @@ val decode_inner : string -> inner option
 
 type session = private {
   keys : Crypto.Seal.keys;
-      (** the symmetric state of the session secret, derived once in
+      (** the symmetric state of the session secret, derived in
           {!register} and used by every {!data_payload}/{!open_data} of
           the session; immutable, so sessions stay shareable across
           domains *)
@@ -51,8 +53,10 @@ val clear_table : table -> unit
 val sid_of_secret : string -> string
 
 val register : table -> secret:string -> peer:Net.Ipaddr.t -> now:int64 -> session
-(** Adds the session and derives its {!field-keys}: the one key
-    derivation of the session's lifetime. *)
+(** Adds the session and derives its {!field-keys}, which every data
+    packet of the session then reuses. The set-up packet
+    ({!initial_payload}/{!accept_initial}) derives the keys from the
+    secret once more on its own. *)
 
 val find : table -> sid:string -> session option
 val find_by_peer : table -> peer:Net.Ipaddr.t -> session option

@@ -49,7 +49,7 @@ let recover_secret ~priv blob =
     else Rsa.decrypt priv (String.sub blob 5 ctlen)
   end
 
-let open_envelope ~priv blob =
+let unseal ~priv blob =
   match recover_secret ~priv blob with
   | Some secret when String.length secret = 32 ->
     let ctlen = Bytes_util.get_u32 blob 1 in
@@ -57,5 +57,3 @@ let open_envelope ~priv blob =
       (fun body -> (secret, body))
       (unseal_sym ~secret (Bytes_util.drop (5 + ctlen) blob))
   | Some _ | None -> None
-
-let unseal ~priv blob = Option.map snd (open_envelope ~priv blob)

@@ -38,10 +38,8 @@ val seal_with_secret :
     so the sender can keep it: to open the answer with {!unseal_sym}, or
     to name a session before the first reply. *)
 
-val unseal : priv:Rsa.private_key -> string -> string option
-
-val open_envelope : priv:Rsa.private_key -> string -> (string * string) option
-(** [open_envelope ~priv blob] is [Some (secret, plaintext)] for a [seal]
+val unseal : priv:Rsa.private_key -> string -> (string * string) option
+(** [unseal ~priv blob] is [Some (secret, plaintext)] for a [seal]
     envelope, decrypting the RSA part once, so the receiver can answer
     with {!seal_sym} under the same secret. [None] if the secret is not
     32 bytes or the envelope does not open. *)
@@ -52,6 +50,3 @@ val seal_sym : rng:(int -> string) -> secret:string -> string -> string
 
 val unseal_sym : secret:string -> string -> string option
 (** [open_keys (keys secret)]. *)
-
-val recover_secret : priv:Rsa.private_key -> string -> string option
-(** The secret inside a [seal] envelope, without opening the body. *)

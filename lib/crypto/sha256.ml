@@ -127,25 +127,16 @@ type ctx = { h : int array; pending : string; total : int }
 let init () = { h = h0; pending = ""; total = 0 }
 
 let feed ctx s =
-  let plen = String.length ctx.pending and len = String.length s in
-  let total = ctx.total + len in
-  if plen + len < 64 then { ctx with pending = ctx.pending ^ s; total }
-  else begin
-    let h = Array.copy ctx.h and w = Array.make 64 0 in
-    let off =
-      if plen = 0 then 0
-      else begin
-        compress h w (ctx.pending ^ String.sub s 0 (64 - plen)) 0;
-        64 - plen
-      end
-    in
-    let whole = (len - off) / 64 in
-    for i = 0 to whole - 1 do
-      compress h w s (off + (64 * i))
-    done;
-    let off = off + (64 * whole) in
-    { h; pending = String.sub s off (len - off); total }
-  end
+  let data = ctx.pending ^ s in
+  let nblocks = String.length data / 64 in
+  let h = Array.copy ctx.h and w = Array.make 64 0 in
+  for i = 0 to nblocks - 1 do
+    compress h w data (64 * i)
+  done;
+  { h;
+    pending = String.sub data (64 * nblocks) (String.length data - (64 * nblocks));
+    total = ctx.total + String.length s
+  }
 
 let finalize ctx =
   finish ctx.h ~prefix:(ctx.total - String.length ctx.pending) ctx.pending

@@ -40,7 +40,7 @@ let handle server host (p : Net.Packet.t) =
     match (server.decryption_key, server.rng) with
     | Some priv, Some rng ->
       let blob = String.sub p.payload 1 (len - 1) in
-      (match Crypto.Seal.open_envelope ~priv blob with
+      (match Crypto.Seal.unseal ~priv blob with
        | Some (secret, body) ->
          (match Message.decode_query body with
           | None -> ()

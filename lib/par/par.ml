@@ -106,8 +106,3 @@ let round t ~n ~f =
   end
 
 let recommended () = Domain.recommended_domain_count ()
-
-let seed () =
-  match Sys.getenv_opt "PAR_SEED" with
-  | None -> 1
-  | Some s -> Option.value ~default:1 (int_of_string_opt (String.trim s))

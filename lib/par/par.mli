@@ -44,8 +44,3 @@ val with_pool : size:int -> (pool -> 'a) -> 'a
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism
     available to this process. *)
-
-val seed : unit -> int
-(** Workload seed for tools and tests: [PAR_SEED] when set, else 1.
-    test_par and test_pdes seed their qcheck properties from it and log
-    it, so a run replays. *)

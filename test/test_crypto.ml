@@ -416,7 +416,7 @@ let test_seal_roundtrip () =
   let rng = drbg_rng "seal" in
   let blob = Crypto.Seal.seal ~rng ~pub:key.Crypto.Rsa.public "top secret" in
   Alcotest.(check (option string)) "unseal" (Some "top secret")
-    (Crypto.Seal.unseal ~priv:key blob)
+    (Option.map snd (Crypto.Seal.unseal ~priv:key blob))
 
 let test_seal_tamper () =
   let key = Lazy.force fixed_key_1024 in
@@ -425,7 +425,7 @@ let test_seal_tamper () =
   let b = Bytes.of_string blob in
   Bytes.set b (Bytes.length b - 1) '\x00';
   Alcotest.(check (option string)) "tampered tag" None
-    (Crypto.Seal.unseal ~priv:key (Bytes.to_string b))
+    (Option.map snd (Crypto.Seal.unseal ~priv:key (Bytes.to_string b)))
 
 let test_seal_sym () =
   let rng = drbg_rng "seal3" in
@@ -462,31 +462,24 @@ let seal_keys_props =
         && Crypto.Seal.open_keys keys (String.sub blob 0 31) = None)
   ]
 
-let test_seal_open_envelope () =
-  let key = Lazy.force fixed_key_1024 in
-  let rng = drbg_rng "seal5" in
-  let blob = Crypto.Seal.seal ~rng ~pub:key.Crypto.Rsa.public "query" in
-  (match Crypto.Seal.open_envelope ~priv:key blob with
-   | Some (secret, body) ->
-     Alcotest.(check (option string)) "same secret"
-       (Crypto.Seal.recover_secret ~priv:key blob) (Some secret);
-     Alcotest.(check string) "body" "query" body
-   | None -> Alcotest.fail "envelope did not open");
-  let b = Bytes.of_string blob in
-  let last = Bytes.length b - 1 in
-  Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 1));
-  Alcotest.(check bool) "tampered tag" true
-    (Crypto.Seal.open_envelope ~priv:key (Bytes.to_string b) = None);
-  Alcotest.(check bool) "not an envelope" true
-    (Crypto.Seal.open_envelope ~priv:key "Xjunk" = None)
-
+(* unseal hands back the envelope's secret with its body, so the receiver
+   can answer under the same secret. *)
 let test_seal_recover_secret () =
   let key = Lazy.force fixed_key_1024 in
   let rng = drbg_rng "seal4" in
-  let blob = Crypto.Seal.seal ~rng ~pub:key.Crypto.Rsa.public "x" in
-  match Crypto.Seal.recover_secret ~priv:key blob with
-  | Some s -> Alcotest.(check int) "32 bytes" 32 (String.length s)
-  | None -> Alcotest.fail "no secret"
+  let pub = key.Crypto.Rsa.public in
+  (match Crypto.Seal.unseal ~priv:key (Crypto.Seal.seal ~rng ~pub "x") with
+   | Some (s, body) ->
+     Alcotest.(check int) "32 bytes" 32 (String.length s);
+     Alcotest.(check string) "body" "x" body
+   | None -> Alcotest.fail "no secret");
+  let secret = rng 32 in
+  Alcotest.(check bool) "caller-chosen secret" true
+    (Crypto.Seal.unseal ~priv:key
+       (Crypto.Seal.seal_with_secret ~rng ~pub ~secret "query")
+    = Some (secret, "query"));
+  Alcotest.(check bool) "not an envelope" true
+    (Crypto.Seal.unseal ~priv:key "Xjunk" = None)
 
 let () =
   Alcotest.run "crypto"
@@ -545,8 +538,7 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_seal_roundtrip;
           Alcotest.test_case "tamper" `Quick test_seal_tamper;
           Alcotest.test_case "symmetric" `Quick test_seal_sym;
-          Alcotest.test_case "recover secret" `Quick test_seal_recover_secret;
-          Alcotest.test_case "open envelope" `Quick test_seal_open_envelope
+          Alcotest.test_case "recover secret" `Quick test_seal_recover_secret
         ]
         @ seal_keys_props )
     ]

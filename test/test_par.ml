@@ -11,11 +11,8 @@
    pass fixed: the Lazy decrypt round keys in Aes and the per-session
    scratch buffers in Datapath. *)
 
-(* Every property draws from PAR_SEED (default 1), so a run replays. *)
 let prop ?(count = 50) ~name ~print gen f =
-  QCheck_alcotest.to_alcotest
-    ~rand:(Random.State.make [| Par.seed () |])
-    (QCheck2.Test.make ~count ~name ~print gen f)
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ~print gen f)
 
 (* Pools are reused across test cases to amortize domain spawn; tests in
    a binary run sequentially, so the single-submitter contract holds. *)
@@ -26,9 +23,7 @@ let () = at_exit (fun () -> Par.shutdown pool2; Par.shutdown pool4)
 let pools () = [ (1, None); (2, Some pool2); (4, Some pool4) ]
 
 let () =
-  Printf.printf
-    "test_par: qcheck seed PAR_SEED=%d recommended domains=%d\n%!" (Par.seed ())
-    (Par.recommended ())
+  Printf.printf "test_par: recommended domains=%d\n%!" (Par.recommended ())
 
 let hex = Crypto.Bytes_util.of_hex
 

@@ -10,18 +10,14 @@
    Engine.create argument validation, and E12 chaos determinism with
    live domains present. *)
 
-(* Every property draws from PAR_SEED (default 1), so a run replays. *)
 let prop ?(count = 10) ~name ~print gen f =
-  QCheck_alcotest.to_alcotest
-    ~rand:(Random.State.make [| Par.seed () |])
-    (QCheck2.Test.make ~count ~name ~print gen f)
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ~print gen f)
 
 (* Pools are reused across test cases to amortize domain spawn; tests in
    a binary run sequentially, so the single-submitter contract holds. *)
 let pool2 = Par.create ~size:2 ()
 let pool4 = Par.create ~size:4 ()
 let () = at_exit (fun () -> Par.shutdown pool2; Par.shutdown pool4)
-let () = Printf.printf "test_pdes: qcheck seed PAR_SEED=%d\n%!" (Par.seed ())
 
 (* Same avalanche as the pdes workload: every choice both the engine
    driver and the reference model make derives from chains of this. *)
